@@ -42,20 +42,21 @@ bench-batch-smoke:
 ## The all-eligible smoke campaigns twice — vectorized and scalar — then
 ## a byte-for-byte store diff.  batch-smoke covers the NS/FSYNC corner;
 ## batch-wide covers the widened frontier (PT/ET transports, landmark
-## kernels, SSYNC activation masks).
+## kernels, SSYNC activation masks).  Both are narrower than the auto
+## width gate, so --batch on forces the vector path.
 batch-diff:
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-smoke \
-		--workers 1 --batch auto --store results/batch-auto.jsonl
+		--workers 1 --batch on --store results/batch-on.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-smoke \
 		--workers 1 --batch off --store results/batch-off.jsonl
 	PYTHONPATH=src $(PYTHON) scripts/diff_stores.py \
-		results/batch-auto.jsonl results/batch-off.jsonl
+		results/batch-on.jsonl results/batch-off.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-wide \
-		--workers 1 --batch auto --store results/batch-wide-auto.jsonl
+		--workers 1 --batch on --store results/batch-wide-on.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro campaign run --spec batch-wide \
 		--workers 1 --batch off --store results/batch-wide-off.jsonl
 	PYTHONPATH=src $(PYTHON) scripts/diff_stores.py \
-		results/batch-wide-auto.jsonl results/batch-wide-off.jsonl
+		results/batch-wide-on.jsonl results/batch-wide-off.jsonl
 
 ## The pytest-benchmark suites (paper-table reproductions).
 bench-suites:

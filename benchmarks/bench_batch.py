@@ -14,6 +14,13 @@ two more headlines: a PT transport chunk (agents riding removed edges)
 and an SSYNC chunk under the random-fair activation replica.  All three
 speedups gate CI via ``--min-speedup`` (``make bench-batch``).
 
+The ``crossover`` entry is where :data:`~repro.core.batch.MIN_BATCH_WIDTH`
+comes from: the same narrow shape (known-bound, n=64, k=2, random
+adversary) at widths 4-64, forced onto the vector path with
+``batch="on"``, against the scalar loop.  Its scalar/batch time ratios
+show where lockstep batching starts to pay; the run fails unless batch
+beats scalar at ``MIN_BATCH_WIDTH``, the width ``--batch auto`` gates on.
+
 Usage::
 
     python benchmarks/bench_batch.py            # full grid
@@ -41,7 +48,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.campaigns.executor import run_chunk  # noqa: E402
 from repro.campaigns.spec import CellConfig  # noqa: E402
-from repro.core.batch import numpy_available  # noqa: E402
+from repro.core.batch import MIN_BATCH_WIDTH, numpy_available  # noqa: E402
 
 #: The acceptance chunk: one full vector width of same-shape cells over
 #: the seed axis — the composition ``default_chunk_size`` builds when a
@@ -62,6 +69,13 @@ HEADLINE_SSYNC = dict(algorithm="known-bound", ring_size=64, agents=16,
                       scheduler="random-fair", max_rounds=192)
 
 
+#: The crossover probe: the headline shape with two agents, cheap enough
+#: that the fixed per-round NumPy cost shows at small widths.
+CROSSOVER = dict(HEADLINE, agents=2)
+CROSSOVER_WIDTHS = (4, 8, 16, 32, 64)
+CROSSOVER_REPEATS = 7
+
+
 def chunk_cells(base: dict, count: int) -> list[CellConfig]:
     cell = CellConfig(**base)
     return [replace(cell, seed=seed) for seed in range(count)]
@@ -76,8 +90,8 @@ def measure_chunk(cells: list[CellConfig], mode: str, *, repeats: int) -> dict:
         elapsed = time.perf_counter() - start
         assert len(records) == len(cells)
         assert all("error" not in r for r in records)
-        if mode == "auto":
-            assert batched == len(cells), "headline cells must all batch"
+        if mode != "off":
+            assert batched == len(cells), "measured cells must all batch"
         if best is None or elapsed < best:
             best = elapsed
     return {"cells": len(cells), "elapsed_s": round(best, 4),
@@ -136,6 +150,28 @@ def measure_headline(base: dict, count: int, *, repeats: int,
     return headline
 
 
+def measure_crossover() -> dict:
+    """Scalar/batch time ratio of the probe shape at each width.
+
+    Best of :data:`CROSSOVER_REPEATS` per mode, smoke or not, with the
+    two modes interleaved: a narrow chunk takes tens of milliseconds, so
+    a burst of host load could otherwise cover every repeat of one mode.
+    """
+    ratios = {}
+    for width in CROSSOVER_WIDTHS:
+        cells = chunk_cells(CROSSOVER, width)
+        times: dict[str, list[float]] = {"on": [], "off": []}
+        for _ in range(CROSSOVER_REPEATS):
+            for mode, samples in times.items():
+                samples.append(
+                    measure_chunk(cells, mode, repeats=1)["elapsed_s"])
+        ratios[str(width)] = round(min(times["off"]) / min(times["on"]), 2)
+    print("crossover (known-bound, n=64, k=2, random), scalar/batch: "
+          + ", ".join(f"{w} -> {r}x" for w, r in ratios.items()), flush=True)
+    return {"config": dict(CROSSOVER), "min_batch_width": MIN_BATCH_WIDTH,
+            "ratios": ratios}
+
+
 def run(smoke: bool) -> dict:
     repeats = 1 if smoke else 3
     rows = []
@@ -172,6 +208,7 @@ def run(smoke: bool) -> dict:
         "headline": headline,
         "headline_pt_et": headline_pt_et,
         "headline_ssync": headline_ssync,
+        "crossover": measure_crossover(),
         "chunks": rows,
     }
 
@@ -202,17 +239,21 @@ def main(argv: list[str] | None = None) -> int:
     results["batch"] = section
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {out} (batch section merged)")
+    failed = False
+    at_gate = section["crossover"]["ratios"][str(MIN_BATCH_WIDTH)]
+    if at_gate <= 1.0:
+        print(f"FAIL: batch loses to scalar at MIN_BATCH_WIDTH="
+              f"{MIN_BATCH_WIDTH} ({at_gate}x); the width gate is too low",
+              file=sys.stderr)
+        failed = True
     if args.min_speedup is not None:
-        failed = False
         for key in ("headline", "headline_pt_et", "headline_ssync"):
             if section[key]["speedup"] < args.min_speedup:
                 print(f"FAIL: batch {key} speedup "
                       f"{section[key]['speedup']}x "
                       f"< required {args.min_speedup}x", file=sys.stderr)
                 failed = True
-        if failed:
-            return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ errors — ignoring only :data:`IGNORED_FIELDS`:
   with ``--trace``/``--trace-jsonl`` and random by construction.
 
 The CI batch lane and ``make batch-diff`` run it over a ``--batch
-auto`` store and a ``--batch off`` store of the same campaign: any
+on`` store and a ``--batch off`` store of the same campaign: any
 other byte of difference means the vector path leaked into the
-persisted results.
+persisted results.  CI also diffs ``--batch auto`` against ``off`` to
+show that routing itself leaves no trace.
 """
 
 from __future__ import annotations

@@ -29,10 +29,12 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.batch import (
+    MIN_BATCH_WIDTH,
     batch_eligible,
     batch_ineligible_key,
     batch_ineligible_reason,
     batch_width,
+    group_by_shape,
     numpy_available,
     run_batch_cells,
 )
@@ -151,6 +153,30 @@ def _wants_batch(cell: CellConfig, override: str | None) -> bool:
             and batch_eligible(cell))
 
 
+def _batch_lanes(
+    cells: Sequence[CellConfig], batch: str | None
+) -> tuple[list[tuple[int, CellConfig]], int]:
+    """The cost model: which cells of a chunk run on :class:`BatchCore`.
+
+    Eligible cells are grouped by shape
+    (:func:`~repro.core.batch.group_by_shape`).  A group at least
+    :data:`~repro.core.batch.MIN_BATCH_WIDTH` wide batches whole; in a
+    narrower one only the cells forced ``on`` batch and the rest run
+    scalar.  Returns ``(lanes, narrow)``: the batch-bound ``(index,
+    cell)`` pairs in input order and the count gated as too narrow.
+    """
+    eligible = [(i, c) for i, c in enumerate(cells) if _wants_batch(c, batch)]
+    lanes: list[tuple[int, CellConfig]] = []
+    for group in group_by_shape(eligible):
+        if len(group) >= MIN_BATCH_WIDTH:
+            lanes.extend(group)
+        else:
+            lanes.extend((i, c) for i, c in group
+                         if _effective_batch(c, batch) == "on")
+    lanes.sort(key=lambda lane: lane[0])
+    return lanes, len(eligible) - len(lanes)
+
+
 def run_chunk(
     cells: Sequence[CellConfig],
     *,
@@ -164,7 +190,8 @@ def run_chunk(
     The single routing point shared by the serial path, the pool workers
     and the distributed worker: eligible cells (shared predicate
     :func:`~repro.core.batch.batch_eligible`, honouring the ``batch``
-    override / per-cell ``batch`` field) run through
+    override / per-cell ``batch`` field) in wide enough shape groups
+    (:func:`_batch_lanes`) run through
     :class:`~repro.core.batch.BatchCore`; the rest fall back to
     :func:`execute_cell` one by one.  Records come back in input order
     with the exact schema the scalar path appends, so stores cannot tell
@@ -179,7 +206,8 @@ def run_chunk(
     ``chunk`` span (``span_attrs`` lets the caller attach chunk ids or a
     cross-process ``parent_id``); routing decisions feed the
     ``executor.*`` counters — per-reason batch rejections
-    (``executor.batch_reject.<key>``) and vector-path degradations
+    (``executor.batch_reject.<key>``, ``narrow`` for the width gate)
+    and vector-path degradations
     (``executor.degrade_to_scalar``).  ``emit_span=False`` skips the
     chunk span: the distributed worker owns it instead, so the span can
     cover claim and commit around the execution this function times —
@@ -196,8 +224,7 @@ def run_chunk(
     )
     with chunk_ctx as chunk_span:
         records: list[dict[str, Any] | None] = [None] * len(cells)
-        eligible = [(i, c) for i, c in enumerate(cells)
-                    if _wants_batch(c, batch)]
+        lanes, narrow = _batch_lanes(cells, batch)
         if reg is not None:
             reg.counter("executor.chunks").inc()
             reg.histogram("executor.chunk_cells").observe(len(cells))
@@ -210,11 +237,13 @@ def run_chunk(
                 reason_key = batch_ineligible_key(cell)
                 if reason_key is not None:
                     reg.counter(f"executor.batch_reject.{reason_key}").inc()
+            if narrow:
+                reg.counter("executor.batch_reject.narrow").inc(narrow)
         batched = 0
-        if eligible:
+        if lanes:
             start = time.perf_counter()
             try:
-                results = run_batch_cells([c for _, c in eligible])
+                results = run_batch_cells([c for _, c in lanes])
             except Exception:
                 # Defensive only: the batch path is differentially proven,
                 # but a routing bug must degrade to the scalar path, never
@@ -223,13 +252,13 @@ def run_chunk(
                 results = None
                 _log.warning(
                     "batch path failed for %d cells; degrading to scalar",
-                    len(eligible), exc_info=True)
+                    len(lanes), exc_info=True)
                 if reg is not None:
                     reg.counter("executor.degrade_to_scalar").inc()
             if results is not None:
                 per_cell = round(
-                    (time.perf_counter() - start) / len(eligible), 6)
-                for (i, cell), result in zip(eligible, results):
+                    (time.perf_counter() - start) / len(lanes), 6)
+                for (i, cell), result in zip(lanes, results):
                     records[i] = {
                         "key": cell.key(),
                         "config": cell.to_dict(),
@@ -240,7 +269,7 @@ def run_chunk(
                         records[i]["span_id"] = rec.emit(
                             "cell", cell.algorithm, elapsed_s=per_cell,
                             attrs={"key": cell.key(), "route": "batch"})
-                batched = len(eligible)
+                batched = len(lanes)
                 if reg is not None:
                     reg.counter("executor.cells").inc(batched)
                     reg.counter("executor.cells_batched").inc(batched)
@@ -345,25 +374,32 @@ def _serial_groups(
 ) -> Iterable[list[CellConfig]]:
     """Group a serial run's cells for :func:`run_chunk`.
 
-    Runs of batch-bound cells coalesce (up to the vector width) so the
-    serial path vectorizes too; scalar cells stay singletons, preserving
-    the per-cell progress granularity serial runs always had.
+    Runs of batch-eligible cells coalesce (up to the vector width) so the
+    serial path vectorizes too.  A run in which no cell passes the width
+    gate (:func:`_batch_lanes`) is split back into singletons, like every
+    ineligible cell, preserving the per-cell progress and commit
+    granularity serial runs always had.
     """
+    def emit(run: list[CellConfig]) -> list[list[CellConfig]]:
+        if _batch_lanes(run, batch)[0]:
+            return [run]
+        return [[cell] for cell in run]
+
     group: list[CellConfig] = []
     width = batch_width()
     for cell in cells:
         if _wants_batch(cell, batch):
             group.append(cell)
             if len(group) >= width:
-                yield group
+                yield from emit(group)
                 group = []
         else:
             if group:
-                yield group
+                yield from emit(group)
                 group = []
             yield [cell]
     if group:
-        yield group
+        yield from emit(group)
 
 
 def run_cells(
@@ -381,9 +417,12 @@ def run_cells(
 
     ``batch`` overrides every cell's own ``batch`` field for this run:
     ``"auto"`` routes eligible cells through the vectorized
-    :class:`~repro.core.batch.BatchCore` (scalar fallback otherwise),
+    :class:`~repro.core.batch.BatchCore` when their chunk holds at least
+    :data:`~repro.core.batch.MIN_BATCH_WIDTH` of one
+    ``(algorithm, agents, ring_size)`` shape (scalar otherwise),
     ``"off"`` forces the scalar path, ``"on"`` demands the vector path
-    and refuses up front if NumPy is missing or any cell is ineligible.
+    at any width and refuses up front if NumPy is missing or any cell is
+    ineligible.
     Routing never changes store keys or record contents.
 
     ``workers=None`` uses every CPU; ``workers<=1`` runs serially in-process

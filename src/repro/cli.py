@@ -101,6 +101,7 @@ from .campaigns.stores import (
     render_fit_rows,
     render_scatter,
 )
+from .core.batch import MIN_BATCH_WIDTH
 from .core.errors import ConfigurationError
 from .obs import expo as obs_expo
 from .obs import logs as obs_logs
@@ -197,11 +198,14 @@ def make_parser() -> argparse.ArgumentParser:
                             "worker silent this long is presumed dead and "
                             "its chunk is stolen (default: 30)")
         p.add_argument("--batch", choices=("auto", "on", "off"), default=None,
-                       help="vectorized batch execution: auto routes "
-                            "eligible cells through the lockstep NumPy core "
-                            "(scalar fallback otherwise), on requires it, "
-                            "off forces the scalar path; never changes "
-                            "results or store keys (default: auto)")
+                       help="vectorized batch execution: auto runs "
+                            "eligible cells on the lockstep NumPy core when "
+                            f"a chunk holds at least {MIN_BATCH_WIDTH} of "
+                            "one (algorithm, agents, ring_size) shape and "
+                            "scalar otherwise, on batches at any width and "
+                            "refuses ineligible cells, off forces the "
+                            "scalar path; never changes results or store "
+                            "keys (default: auto)")
         _add_obs_flags(p)
 
     p = csub.add_parser(
@@ -249,9 +253,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--worker-id", default=None,
                    help="fleet-unique identity (default: <host>-<pid>)")
     p.add_argument("--batch", choices=("auto", "on", "off"), default=None,
-                   help="vectorized batch execution for claimed chunks "
-                        "(default: auto; routing never changes results, so "
-                        "a mixed fleet is fine)")
+                   help="vectorized batch execution for claimed chunks: "
+                        "auto batches (algorithm, agents, ring_size) shape "
+                        f"groups at least {MIN_BATCH_WIDTH} wide, on "
+                        "batches any width, off none (default: auto; "
+                        "routing never changes results, so a mixed fleet "
+                        "is fine)")
     _add_obs_flags(p)
 
     p = csub.add_parser(

@@ -44,6 +44,15 @@ excludes what genuinely has no array form:
   (so the fallback reproduces the identical error record), and the
   per-round invariant audit.
 
+Routing groups eligible cells by shape — ``(algorithm, agents,
+ring_size)``, :func:`group_by_shape` — because a lockstep batch runs
+until its slowest lane halts and a cell's round count grows with n.
+Under ``--batch auto`` a shape group goes to :class:`BatchCore` only when
+it is at least :data:`MIN_BATCH_WIDTH` cells wide; narrower groups run
+on the scalar engine, where they are faster (the executor counts them
+as ``executor.batch_reject.narrow``).  ``--batch on`` batches every
+eligible cell at any width.
+
 Equivalence with :class:`~repro.core.sim.SimulationCore` is not argued,
 it is tested: ``tests/core/test_batch_equivalence.py`` drives both paths
 over a differential grid plus Hypothesis-generated batches and asserts
@@ -95,6 +104,14 @@ BATCH_WIDTH = 256
 
 #: Upper bound a ``REPRO_BATCH_WIDTH`` override may request.
 MAX_BATCH_WIDTH = 1 << 16
+
+#: Narrowest shape group (see :func:`group_by_shape`) that ``--batch
+#: auto`` hands to :class:`BatchCore`.  A lockstep round pays a fixed
+#: NumPy cost whatever the width, so narrow groups lose to the scalar
+#: loop; ``benchmarks/bench_batch.py``'s crossover sweep (known-bound,
+#: n=64, k=2, random adversary) measures where batching starts to win
+#: and asserts it wins at this width.  ``--batch on`` ignores the gate.
+MIN_BATCH_WIDTH = 16
 
 #: Algorithms with a vectorized Compute kernel (bespoke here, or a
 #: :class:`~repro.core.batch_kernels.VectorProgram`).
@@ -872,55 +889,57 @@ class BatchCore:
         }
 
 
+def group_by_shape(indexed_cells):
+    """Group ``(index, cell)`` pairs by lockstep shape, in first-seen order.
+
+    The shape key is ``(algorithm, agents, ring_size)``: :class:`BatchCore`
+    needs the first two uniform, and a batch runs until its slowest lane
+    halts, so lanes of one ring size (whose round counts grow with n)
+    keep each other busy instead of idling behind the largest ring.  The
+    single grouping rule shared by the executor's routing and
+    :func:`run_batch_cells`.
+    """
+    groups: dict[tuple[str, int, int], list] = {}
+    for idx, cell in indexed_cells:
+        key = (cell.algorithm, cell.agents, cell.ring_size)
+        groups.setdefault(key, []).append((idx, cell))
+    return list(groups.values())
+
+
 def _split_batches(indexed_cells):
-    """Split one (algorithm, agents) group so no batch's tensors blow up.
+    """Split one shape group so no batch's tensors blow up.
 
     The visited cap counts *packed* bytes (``ceil(n/8)`` per cell), so a
     10^5-node ring still batches a thousand cells wide; the pairwise cap
     is unchanged (bools don't pack — the tensor is transient anyway).
     """
-    width = batch_width()
-    batches = []
-    current: list = []
     k = indexed_cells[0][1].agents
-    n_max = 0
-    for idx, cell in indexed_cells:
-        n_next = max(n_max, cell.ring_size)
-        count = len(current) + 1
-        if current and (count * k * k > _MAX_PAIRWISE
-                        or count * ((n_next + 7) // 8) > _MAX_VISITED_BYTES
-                        or count > width):
-            batches.append(current)
-            current = []
-            n_next = cell.ring_size
-        current.append((idx, cell))
-        n_max = n_next
-    if current:
-        batches.append(current)
-    return batches
+    n = max(cell.ring_size for _, cell in indexed_cells)
+    cap = max(1, min(batch_width(), _MAX_PAIRWISE // (k * k),
+                     _MAX_VISITED_BYTES // ((n + 7) // 8)))
+    return [indexed_cells[i:i + cap]
+            for i in range(0, len(indexed_cells), cap)]
 
 
 def run_batch_cells(cells: Sequence["CellConfig"]) -> list[RunResult]:
     """Run eligible cells in lockstep; results align with the input order.
 
-    Heterogeneous inputs are grouped by (algorithm, agent count) — the
-    two axes :class:`BatchCore` requires to be uniform; transport,
-    scheduler, adversary and landmark mix freely within a batch — and
-    each group is split so the pairwise occupancy tensor and the packed
-    visited bitmap stay modest.  Raises :class:`ConfigurationError` if
-    NumPy is unavailable or any cell is ineligible; routing callers are
-    expected to have filtered with :func:`batch_eligible` already.
+    Heterogeneous inputs are grouped by :func:`group_by_shape`
+    (algorithm, agent count, ring size; transport, scheduler, adversary
+    and landmark mix freely within a batch) and each group is split so
+    the pairwise occupancy tensor and the packed visited bitmap stay
+    modest.  Raises :class:`ConfigurationError` if NumPy is unavailable
+    or any cell is ineligible; routing callers are expected to have
+    filtered with :func:`batch_eligible` already.
     """
     if not HAVE_NUMPY:
         raise ConfigurationError("run_batch_cells requires numpy")
     results: list[RunResult | None] = [None] * len(cells)
-    groups: dict[tuple[str, int], list] = {}
     for idx, cell in enumerate(cells):
         reason = batch_ineligible_reason(cell)
         if reason is not None:
             raise ConfigurationError(f"cell {idx} is not batch-eligible: {reason}")
-        groups.setdefault((cell.algorithm, cell.agents), []).append((idx, cell))
-    for group in groups.values():
+    for group in group_by_shape(enumerate(cells)):
         for batch in _split_batches(group):
             core = BatchCore([cell for _, cell in batch])
             core_t0 = time.perf_counter()
@@ -942,10 +961,12 @@ __all__ = [
     "BatchCore",
     "HAVE_NUMPY",
     "MAX_BATCH_WIDTH",
+    "MIN_BATCH_WIDTH",
     "batch_eligible",
     "batch_ineligible_key",
     "batch_ineligible_reason",
     "batch_width",
+    "group_by_shape",
     "numpy_available",
     "run_batch_cells",
 ]

@@ -35,8 +35,9 @@ from repro.campaigns.executor import (
     run_chunk,
 )
 from repro.core import batch as batch_mod
-from repro.core.batch import BATCH_WIDTH
+from repro.core.batch import BATCH_WIDTH, MIN_BATCH_WIDTH
 from repro.core.errors import ConfigurationError
+from repro.obs import metrics as obs_metrics
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,7 +77,7 @@ class TestRunChunkRouting:
         eligible = eligible_spec().cell_list()
         mixed = [eligible[0], scalar_only_cell(0), eligible[1],
                  scalar_only_cell(1), eligible[2]]
-        records, batched = run_chunk(mixed)
+        records, batched = run_chunk(mixed, batch="on")
         assert batched == 3
         assert [r["key"] for r in records] == [c.key() for c in mixed]
         assert all("metrics" in r for r in records)
@@ -87,10 +88,10 @@ class TestRunChunkRouting:
 
     def test_record_shape_identical_across_routing(self):
         cells = eligible_spec().cell_list()
-        auto, n_auto = run_chunk(cells, batch="auto")
+        on, n_on = run_chunk(cells, batch="on")
         off, n_off = run_chunk(cells, batch="off")
-        assert n_auto == len(cells) and n_off == 0
-        for a, o in zip(auto, off):
+        assert n_on == len(cells) and n_off == 0
+        for a, o in zip(on, off):
             assert a["key"] == o["key"]
             assert a["config"] == o["config"]
             assert a["metrics"] == o["metrics"]
@@ -115,8 +116,85 @@ class TestRunChunkRouting:
         records, batched = run_chunk(cells)  # no override: cells decide
         assert batched == 0 and len(records) == 6
         # the override wins over the cell field
-        _, forced = run_chunk(cells, batch="auto")
+        _, forced = run_chunk(cells, batch="on")
         assert forced == 6
+
+
+def same_shape_cells(count, ring_size=8, **overrides):
+    """``count`` cells of one (algorithm, agents, ring_size) shape."""
+    return [CellConfig(algorithm="unconscious", ring_size=ring_size, agents=2,
+                       max_rounds=200, stop_on_exploration=True,
+                       placement="offset-spread", seed=seed, **overrides)
+            for seed in range(count)]
+
+
+@pytest.fixture
+def metrics_on():
+    obs_metrics.configure(True)
+    obs_metrics.reset()
+    yield
+    obs_metrics.configure(None)
+    obs_metrics.reset()
+
+
+@needs_numpy
+class TestCostModelRouting:
+    """``auto`` batches a shape group only when it is wide enough."""
+
+    def test_width_gate_boundary(self):
+        narrow = same_shape_cells(MIN_BATCH_WIDTH - 1)
+        assert run_chunk(narrow, batch="auto")[1] == 0
+        wide = same_shape_cells(MIN_BATCH_WIDTH)
+        assert run_chunk(wide, batch="auto")[1] == MIN_BATCH_WIDTH
+
+    def test_mixed_ring_sizes_split_into_shape_groups(self):
+        wide = same_shape_cells(MIN_BATCH_WIDTH, ring_size=6)
+        narrow = same_shape_cells(MIN_BATCH_WIDTH - 1, ring_size=8)
+        cells = [c for pair in zip(wide, narrow) for c in pair] + wide[-1:]
+        records, batched = run_chunk(cells, batch="auto")
+        assert batched == MIN_BATCH_WIDTH  # only the n=6 group is wide
+        assert [r["key"] for r in records] == [c.key() for c in cells]
+        # together the two sizes would pass the gate; apart neither does
+        halves = (same_shape_cells(MIN_BATCH_WIDTH // 2, ring_size=6)
+                  + same_shape_cells(MIN_BATCH_WIDTH // 2, ring_size=8))
+        assert run_chunk(halves, batch="auto")[1] == 0
+
+    def test_on_batches_a_width_one_group(self):
+        assert run_chunk(same_shape_cells(1), batch="on")[1] == 1
+
+    def test_cell_level_on_forces_batching(self):
+        from dataclasses import replace
+
+        forced = [replace(c, batch="on") for c in same_shape_cells(2)]
+        auto = same_shape_cells(3, ring_size=6)
+        records, batched = run_chunk(forced + auto)  # cells decide
+        assert batched == 2
+        assert len(records) == 5
+
+    def test_narrow_rejections_are_counted(self, tmp_path, metrics_on):
+        spec = eligible_spec()  # 6 cells: two shape groups of 3
+        run = run_cells(spec.cells(), JsonlStore(tmp_path / "r.jsonl"),
+                        workers=1, batch="auto")
+        assert run.batched == 0
+        assert "scalar[narrow=6]" in run.summary()
+
+    def test_all_narrow_serial_run_commits_cell_by_cell(self, tmp_path):
+        done = []
+        run_cells(eligible_spec().cells(), JsonlStore(tmp_path / "r.jsonl"),
+                  workers=1, batch="auto",
+                  progress=lambda n, _total: done.append(n))
+        assert done == [1, 2, 3, 4, 5, 6]
+
+    def test_paper_tables_chunk_identical_across_modes(self):
+        from repro.campaigns.presets import get_spec
+
+        cells = get_spec("paper-tables").cell_list()
+        runs = {mode: run_chunk(cells, batch=mode)
+                for mode in ("auto", "on", "off")}
+        assert runs["on"][1] > 0 and runs["off"][1] == 0
+        assert (metrics_by_key(runs["auto"][0])
+                == metrics_by_key(runs["on"][0])
+                == metrics_by_key(runs["off"][0]))
 
 
 @needs_numpy
@@ -125,7 +203,7 @@ class TestStoreEquivalence:
         spec = eligible_spec()
         batched = JsonlStore(tmp_path / "batched.jsonl")
         scalar = JsonlStore(tmp_path / "scalar.jsonl")
-        run_b = run_cells(spec.cells(), batched, workers=1, batch="auto")
+        run_b = run_cells(spec.cells(), batched, workers=1, batch="on")
         run_s = run_cells(spec.cells(), scalar, workers=1, batch="off")
         assert run_b.batched == 6 and run_s.batched == 0
         assert "batched=6" in run_b.summary()
@@ -135,7 +213,7 @@ class TestStoreEquivalence:
     def test_resume_over_batched_store_recomputes_nothing(self, tmp_path):
         spec = eligible_spec()
         store = JsonlStore(tmp_path / "r.jsonl")
-        first = run_cells(spec.cells(), store, workers=1, batch="auto")
+        first = run_cells(spec.cells(), store, workers=1, batch="on")
         assert first.executed == 6
         resumed = run_cells(spec.cells(), JsonlStore(store.path), workers=1)
         assert resumed.executed == 0 and resumed.skipped == 6
@@ -148,7 +226,7 @@ class TestStoreEquivalence:
         spec = eligible_spec()
         pool = JsonlStore(tmp_path / "pool.jsonl")
         serial = JsonlStore(tmp_path / "serial.jsonl")
-        run_p = run_cells(spec.cells(), pool, workers=3, batch="auto")
+        run_p = run_cells(spec.cells(), pool, workers=3, batch="on")
         run_cells(spec.cells(), serial, workers=1, batch="off")
         assert run_p.batched == 6
         assert metrics_by_key(pool.records()) == metrics_by_key(serial.records())
@@ -190,7 +268,7 @@ class TestKeyRegression:
     def test_batched_rerun_reproduces_every_fixture_key(self, tmp_path):
         store = JsonlStore(tmp_path / "r.jsonl")
         run = run_cells(self.FIXTURE_SPEC.cells(), store, workers=1,
-                        batch="auto")
+                        batch="on")
         assert run.batched == 6
         assert (metrics_by_key(store.records())
                 == metrics_by_key(self.fixture_records()))
@@ -238,7 +316,7 @@ class TestNumpyFallback:
     def test_scalar_records_match_batched_records(self, tmp_path, monkeypatch):
         spec = eligible_spec()
         batched = JsonlStore(tmp_path / "b.jsonl")
-        run_cells(spec.cells(), batched, workers=1, batch="auto")
+        run_cells(spec.cells(), batched, workers=1, batch="on")
         monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
         scalar = JsonlStore(tmp_path / "s.jsonl")
         run_cells(spec.cells(), scalar, workers=1, batch="auto")
@@ -290,7 +368,7 @@ class TestFleetTelemetry:
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
         queue, _ = enqueue_campaign(spec, store)
         report = run_worker(store, campaign=spec.name, worker_id="w0",
-                            poll_s=0.01)
+                            poll_s=0.01, batch="on")
         assert report.cells_done == 6
         assert report.cells_batched == 6
         assert "batched=6" in report.summary()
@@ -315,7 +393,8 @@ class TestFleetTelemetry:
         spec = eligible_spec()
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
         enqueue_campaign(spec, store)
-        run_worker(store, campaign=spec.name, worker_id="w0", poll_s=0.01)
+        run_worker(store, campaign=spec.name, worker_id="w0", poll_s=0.01,
+                   batch="on")
         status = fleet_status(store, campaign=spec.name)
         assert status.recent_chunks
         text = render_status(status)
@@ -328,7 +407,8 @@ class TestFleetTelemetry:
         spec = eligible_spec(name="mixed-fleet")
         store = SqliteStore(tmp_path / "q.db", campaign=spec.name)
         enqueue_campaign(spec, store)
-        run_worker(store, campaign=spec.name, worker_id="w0", poll_s=0.01)
+        run_worker(store, campaign=spec.name, worker_id="w0", poll_s=0.01,
+                   batch="on")
         serial = JsonlStore(tmp_path / "serial.jsonl")
         run_cells(spec.cells(), serial, workers=1, batch="off")
         assert report_text(store, spec.name) == report_text(serial, spec.name)

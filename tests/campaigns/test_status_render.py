@@ -20,6 +20,7 @@ from repro.campaigns.distributed import (
 )
 from repro.campaigns.distributed.queue import QueueCounts, WorkerInfo
 from repro.campaigns.distributed.status import FleetStatus
+from repro.core.batch import numpy_available
 
 
 def fast_spec(name="render-test", seeds=range(2), sizes=(6,)) -> CampaignSpec:
@@ -223,8 +224,34 @@ class TestFleetStatusFromStore:
         enqueue_campaign(spec, store, chunk_size=2)
         run_worker(store, campaign=spec.name, worker_id="w1")
         status = fleet_status(store)
-        assert status.batch_rejects == {"adversary": 2}
+        # without NumPy the executor rejects before asking eligibility
+        reason = "adversary" if numpy_available() else "no_numpy"
+        assert status.batch_rejects == {reason: 2}
         assert "scalar  : 2 cell routing(s)" in render_status(status)
+        obs_metrics.reset()
+
+    @pytest.mark.skipif(not numpy_available(),
+                        reason="the width gate applies only with NumPy")
+    def test_narrow_groups_surface_beside_eligibility_reasons(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_METRICS", "1")
+        from repro.obs import metrics as obs_metrics
+
+        obs_metrics.reset()
+        spec = CampaignSpec(
+            name="render-narrow",
+            base={"algorithm": "known-bound", "horizon": "100 * n"},
+            grid={"ring_size": [6], "seed": [0, 1],
+                  "adversary": ["random", "prevent-meetings"]},
+        )
+        store = SqliteStore(tmp_path / "narrow.db", campaign=spec.name)
+        enqueue_campaign(spec, store, chunk_size=4)
+        run_worker(store, campaign=spec.name, worker_id="w1")
+        status = fleet_status(store)
+        assert status.batch_rejects == {"adversary": 2, "narrow": 2}
+        text = render_status(status)
+        assert "scalar  : 4 cell routing(s)" in text
+        assert "narrow" in text
         obs_metrics.reset()
 
     def test_without_metrics_fields_stay_none(self, tmp_path, monkeypatch):

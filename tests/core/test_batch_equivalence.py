@@ -215,8 +215,24 @@ class TestMixedCompositions:
                        CellConfig(algorithm="unconscious", ring_size=8,
                                   agents=3, max_rounds=10)])
 
+    def test_core_mixes_ring_sizes(self):
+        """BatchCore itself still lockstep-runs lanes of different n.
+
+        Routing now hands it one ring size at a time, so the mixed-n
+        composition is pinned here against the scalar engine directly.
+        """
+        from repro.analysis.differential import scalar_result
+
+        cells = [CellConfig(algorithm="landmark-chirality", ring_size=n,
+                            agents=2, max_rounds=200, adversary="random",
+                            seed=s)
+                 for n in (5, 8, 13) for s in SEEDS]
+        for cell, result in zip(cells, BatchCore(cells).run()):
+            assert result_payload(result) == result_payload(
+                scalar_result(cell)), cell
+
     def test_run_batch_cells_groups_mixed_shapes(self):
-        """run_batch_cells regroups by (algorithm, k) and restores order."""
+        """run_batch_cells regroups by (algorithm, k, n), restores order."""
         mixed = [GRID[0], GRID[2], GRID[1], GRID[0]]
         payloads = [result_payload(r) for r in run_batch_cells(mixed)]
         singles = [result_payload(run_batch_cells([c])[0]) for c in mixed]
@@ -284,7 +300,7 @@ class TestMixedEligibility:
         assert all(not batch_eligible(c) for c in ineligible)
         cells = [eligible[0], ineligible[0], eligible[1], ineligible[1],
                  eligible[2]]
-        records, batched = run_chunk(cells)
+        records, batched = run_chunk(cells, batch="on")
         assert batched == 3
         assert [r["key"] for r in records] == [c.key() for c in cells]
         for cell, record in zip(cells, records):

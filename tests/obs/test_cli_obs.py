@@ -88,7 +88,7 @@ class TestMetricsVerb:
     STORE = "sqlite:m.db"
 
     def run_with_metrics(self):
-        code = main([*RUN, "--limit", "4", "--metrics",
+        code = main([*RUN, "--limit", "4", "--metrics", "--batch", "on",
                      "--store", self.STORE])
         assert code == 0
 
